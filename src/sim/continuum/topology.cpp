@@ -57,6 +57,14 @@ core::Result<TierCost> price_tier(const TierSpec& tier,
     return core::Status::invalid_argument("unknown device \"" + tier.device +
                                           "\"");
   }
+  // HostCPU's spec is derived from the running machine's core count, so
+  // a tier priced on it would make the report depend on the host.
+  if (device == &platform::host_cpu()) {
+    return core::Status::invalid_argument(
+        "device \"" + tier.device +
+        "\" is derived from the running host; continuum tiers must name a "
+        "pinned Table 1 device");
+  }
   const auto method = parse_preproc_method(tier.preproc);
   if (!method.has_value()) {
     return core::Status::invalid_argument("unknown preproc method \"" +

@@ -23,7 +23,7 @@ namespace harvest::sim::continuum {
 
 /// One compute tier (the edge nodes, or a region's cloud replicas).
 struct TierSpec {
-  std::string device = "JetsonOrinNano";  ///< platform::find_device name
+  std::string device = "JetsonOrinNano";  ///< Table 1 device (not HostCPU)
   std::string preproc = "CV2";            ///< preproc_method_name
   std::int64_t max_batch = 8;             ///< clamped to the engine's OOM wall
   /// Pipeline preprocessing with inference (batch service = max of the
@@ -58,8 +58,8 @@ struct ContinuumTopology {
 
 /// Parse a `"topology"` JSON object (keys documented in
 /// docs/MODEL_REPOSITORY.md § Continuum). Unknown device/model/dataset/
-/// uplink names and non-positive shape counts are kInvalidArgument —
-/// an invalid topology never reaches the simulator.
+/// uplink names, a `HostCPU` tier, and non-positive shape counts are
+/// kInvalidArgument — an invalid topology never reaches the simulator.
 core::Result<ContinuumTopology> parse_continuum_topology(
     const core::Json& json);
 
@@ -87,8 +87,10 @@ struct ContinuumCosts {
 
 /// Resolve every name in `topology` against the platform/model/dataset
 /// catalogs and precompute the service tables. kInvalidArgument on any
-/// unknown name (the same failure modes as parsing, for topologies
-/// built programmatically).
+/// unknown name, or on a tier naming the host-derived `HostCPU` (the
+/// same failure modes as parsing, for topologies built programmatically):
+/// tiers price only from pinned catalog specs, so a report never depends
+/// on the machine that runs the simulation.
 core::Result<ContinuumCosts> price_topology(const ContinuumTopology& topology);
 
 }  // namespace harvest::sim::continuum

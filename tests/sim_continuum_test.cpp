@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "data/datasets.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 #include "serving/fair_queue.hpp"
@@ -86,10 +87,16 @@ TEST(ContinuumTopology, UnknownNamesFailWithTheNameInTheMessage) {
       {R"({"model": "GPT-17"})", "GPT-17"},
       {R"({"dataset": "MNIST-Barn"})", "MNIST-Barn"},
       {R"({"uplink": "carrier-pigeon"})", "carrier-pigeon"},
+      // HostCPU resolves, but its spec comes from the running machine,
+      // so a tier priced on it would make the report host-dependent.
+      {R"({"edge": {"device": "HostCPU"}})", "HostCPU"},
+      {R"({"cloud": {"device": "HostCPU"}})", "HostCPU"},
   };
   for (const auto& c : cases) {
     auto topology = parse_continuum_topology(parse_json(c.json));
     ASSERT_FALSE(topology.is_ok()) << c.json;
+    EXPECT_EQ(topology.status().code(), core::StatusCode::kInvalidArgument)
+        << c.json;
     EXPECT_NE(topology.status().message().find(c.needle), std::string::npos)
         << topology.status().message();
   }
@@ -294,16 +301,34 @@ TEST(ContinuumSim, AutoscaleSavesReplicaSecondsOnAQuietCloud) {
 }
 
 TEST(ContinuumSim, AutoscaleScalesUpWhenTheRegionBacklogs) {
-  // Swap the regional tier for a CPU box slower than the uplinks feed
-  // it: the backlog-per-replica watermark must trip and add replicas.
+  // Swap the regional tier for a pinned Jetson (Table 1) fed by AgJPEG
+  // re-encodes (~0.4 B/pixel, the edge convention of
+  // bench/ablation_continuum_scale): the farms' uplinks then feed the
+  // region faster than one replica serves it, so the backlog-per-replica
+  // watermark must trip and add replicas.
   ContinuumConfig config = faulty_fleet_config();
-  config.topology.cloud = {"HostCPU", "PyTorch", 8, false};
+  config.topology.cloud = {"JetsonOrinNano", "PyTorch", 8, false};
+  const auto crsa = data::find_dataset(config.topology.dataset);
+  ASSERT_TRUE(crsa.has_value());
+  config.topology.upload_bytes_per_image =
+      crsa->image_stats().mean_pixels * 0.4;
   config.placement.policy = PlacementPolicy::kAutoscale;
   config.placement.min_replicas = 1;
   config.placement.max_replicas = 4;
   config.placement.scale_interval_s = 10.0;
   config.placement.scale_up_backlog_per_replica = 4.0;
   config.placement.scale_down_backlog_per_replica = 1.0;
+
+  // The premise, from the priced tables: the region's uplinks can feed
+  // more images per second than one replica serves.
+  auto costs = price_topology(config.topology);
+  ASSERT_TRUE(costs.is_ok()) << costs.status().message();
+  const double feed_img_s =
+      static_cast<double>(config.topology.farms_per_region) /
+      costs.value().uplink.transfer_time_s(costs.value().upload_bytes);
+  const double serve_img_s = 1.0 / costs.value().cloud.per_image_s();
+  ASSERT_GT(feed_img_s, serve_img_s);
+
   const ContinuumReport report = simulate_continuum(config);
   EXPECT_GT(report.scale_ups, 0u);
   EXPECT_TRUE(report.conserved());
