@@ -115,6 +115,7 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
         "dropped: deadline expired while queued");
     response.timing.queue_s = waited;
     response.timing.total_s = waited;
+    response.completed_at = started;
     metrics_->record(response.timing, RequestOutcome::kDeadlineMissed,
                      pending.request.trace.trace_id);
     tracer.record_instant("dropped_deadline", "serving",
@@ -137,6 +138,7 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
       InferenceResponse response;
       response.id = pending.request.id;
       response.status = status;
+      response.completed_at = failed_at;
       metrics_->record(response.timing, RequestOutcome::kFailed,
                        pending.request.trace.trace_id);
       tracer.record_root("request", "serving",
@@ -207,6 +209,7 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
     response.timing.total_s =
         std::chrono::duration<double>(finished - pending.enqueued_at).count();
     response.timing.batch_size = n;
+    response.completed_at = finished;
     const bool missed = pending.request.deadline_s > 0.0 &&
                         response.timing.total_s > pending.request.deadline_s;
     if (missed) {

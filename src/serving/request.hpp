@@ -6,6 +6,7 @@
 /// locally reads input data and generates requests to the backend");
 /// the dynamic batcher groups requests into engine batches.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +69,10 @@ struct InferenceResponse {
   float confidence = 0.0f;            ///< softmax probability of the argmax
   std::vector<float> logits;          ///< full output row
   RequestTiming timing;
+  /// When the server closed this request's "request" span (steady
+  /// clock); default when it closed none. A client's wait from here to
+  /// receiving the response is the hand-off, traced as "deliver".
+  std::chrono::steady_clock::time_point completed_at{};
 };
 
 }  // namespace harvest::serving

@@ -80,6 +80,16 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
     }
     InferenceRequest copy = request;  // the submit path consumes its argument
     response = server_->infer_sync(std::move(copy));
+    if (client_ctx.active() &&
+        response.completed_at != std::chrono::steady_clock::time_point{}) {
+      // The hand-off: from the server closing its "request" span to this
+      // thread waking with the response. Without it the client's wake-up
+      // latency would be unattributed time inside "client_request".
+      tracer.record_child("deliver", "serving",
+                          tracer.to_us(response.completed_at),
+                          tracer.to_us(std::chrono::steady_clock::now()),
+                          client_ctx, response.id, attempt);
+    }
     if (response.status.is_ok() ||
         !RetryPolicy::retryable(response.status.code())) {
       finish_trace(client_ctx, client_start, response.id);

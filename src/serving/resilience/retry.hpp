@@ -53,7 +53,8 @@ core::Result<RetryPolicy> parse_retry_policy(const core::Json& json);
 
 /// Synchronous retrying frontend. Counts attempts/retries/abandons both
 /// locally and in the deployment's MetricsRegistry, and records a
-/// `retry_backoff` span per backoff when tracing is enabled. Thread-safe.
+/// `retry_backoff` span per backoff and a `deliver` span per answered
+/// attempt when tracing is enabled. Thread-safe.
 class RetryingClient {
  public:
   RetryingClient(Server& server, RetryPolicy policy, std::uint64_t seed = 42);

@@ -8,6 +8,14 @@
 #include "tensor/ops.hpp"
 
 namespace harvest::nn {
+
+/// gtest prints a parameter it has no printer for as its raw bytes, and
+/// a ModelSpec's first bytes are its name string's data pointer: the
+/// listed test names (`# GetParam() = ...`) would change from run to
+/// run. Print the paper name instead. Found by ADL, so it lives in the
+/// spec's own namespace.
+void PrintTo(const ModelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 /// Table 3 reproduction: the real graphs must land on the paper's
